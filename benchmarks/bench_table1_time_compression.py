@@ -18,7 +18,7 @@ EXPERIMENTS.md.
 The run doubles as the regression guard for the simulation hot-loop
 overhaul: every peer count is measured under both queue engines —
 ``wheel`` (timer wheel + batched dispatch, the default) and ``heap`` (the
-pre-overhaul oracle, ``REPRO_SIM_QUEUE=heap``) — on the *same* workload
+pre-overhaul oracle, ``queue_engine="heap"``) — on the *same* workload
 (determinism makes the executed traces identical, so events/sec is an
 apples-to-apples ratio).  Results land in ``BENCH_table1.json``; the module
 teardown asserts the wheel engine clears ``FLOOR_RATIO`` (1.5x) events/sec

@@ -1,4 +1,4 @@
-"""Architecture analysis for the component model: seven coordinated passes.
+"""Architecture analysis for the component model: eight coordinated passes.
 
 1. **AST lint** (:mod:`.ast_lint`, rules ``A001``–``A005``) — inspects
    :class:`~repro.core.component.ComponentDefinition` subclasses without
@@ -28,14 +28,22 @@
    over the event/component hierarchy, unbounded per-peer collections,
    retained events, Address-interning opportunities, dynamic attributes
    that defeat slots, and heavyweight event defaults.
+8. **Shard safety** (:mod:`.par`, rules ``P001``–``P006``) — finds the
+   single-address-space assumptions that break when components are pinned
+   to worker processes: process-divergent state, reach-through, shard-cut
+   codec gaps, identity affinity, handler-held locks, and unpinnable
+   components.
 
-Command line: ``python -m repro.analysis src/repro examples`` for the
-lint, ``python -m repro.analysis {flow,dist,mem,race} ...`` for the other
-passes, and ``python -m repro.analysis all ...`` (:mod:`.aggregate`) for
-every static pass with one merged report and exit code.  Every CLI takes
-``--sarif FILE`` (:mod:`.sarif`) for a SARIF 2.1.0 log.  See
-``docs/analysis.md`` for the full rule catalogue and suppression syntax
-(``# repro: noqa[A001]``, ``[tool.repro.analysis]``).
+The five static passes (lint, flow, dist, mem, par) are the entries of
+one registry (:mod:`.passes`) and read one shared
+:class:`~.program.Program` per run.  Command line:
+``python -m repro.analysis [{lint,flow,dist,mem,par,all}] paths...`` —
+bare paths lint, and ``all`` (:mod:`.aggregate`) runs every static pass
+with one merged report and exit code.  ``python -m repro.analysis race
+...`` reaches the concurrency analysis's own front-end.
+Every command takes ``--sarif FILE`` (:mod:`.sarif`) for a SARIF 2.1.0
+log.  See ``docs/analysis.md`` for the full rule catalogue and
+suppression syntax (``# repro: noqa[A001]``, ``[tool.repro.analysis]``).
 """
 
 from .ast_lint import lint_paths

@@ -1,10 +1,9 @@
 """``python -m repro.analysis all`` — every static pass, one exit code.
 
-Runs the AST lint (A*), the event-flow analysis (F*), the
-distribution-readiness analysis (D*), the memory-footprint analysis
-(M*), and the shard-safety analysis (P*) over the same path set —
-sharing the AST parse cache, so each source file is parsed once — and
-merges the findings into a single sorted report.  With ``--wiring-examples DIR`` it
+Runs every pass in the :mod:`.passes` registry over one shared
+:class:`~repro.analysis.program.Program` — one scan, one index, one flow
+graph and one dist model for the whole run — and merges the findings
+into a single sorted report.  With ``--wiring-examples DIR`` it
 additionally assembles every example script in ``DIR`` that declares a
 module-level ``WIRING_ROOT`` component class (under a ManualScheduler:
 built, verified, never started) and folds the wiring findings (W*) in.
@@ -15,7 +14,6 @@ clean across every family the static passes cover.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import importlib.util
 import json
@@ -23,14 +21,10 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .ast_lint import lint_paths
-from .config import AnalysisConfig, find_pyproject, load_config
-from .dist.checks import analyze_paths as dist_paths
+from .config import AnalysisConfig
 from .findings import Finding
-from .flow.graph import analyze_paths as flow_paths
-from .mem.checks import analyze_paths as mem_paths
-from .par.checks import analyze_paths as par_paths
-from .sarif import write_sarif
+from .passes import PASSES
+from .program import Program
 
 #: Module-level attribute an example script sets to its root component
 #: class to opt into aggregate wiring verification.
@@ -102,16 +96,12 @@ def run_all(
     wiring_examples: Optional[Path] = None,
 ) -> dict[str, list[Finding]]:
     """Run every pass; returns findings per pass name (insertion order)."""
-    config = config or AnalysisConfig()
-    per_pass: dict[str, list[Finding]] = {
-        "lint": lint_paths(paths, config=config),
-        "flow": flow_paths(paths, config=config),
-        "dist": dist_paths(paths, config=config),
-        "mem": mem_paths(paths, config=config),
-        "par": par_paths(paths, config=config),
-    }
+    program = Program(paths, config)
+    per_pass = {name: program.report(p.run) for name, p in PASSES.items()}
     if wiring_examples is not None:
-        per_pass["wiring"] = verify_example_assemblies(wiring_examples, config)
+        per_pass["wiring"] = verify_example_assemblies(
+            wiring_examples, program.config
+        )
     return per_pass
 
 
@@ -142,113 +132,3 @@ def to_aggregate_json(per_pass: dict[str, list[Finding]]) -> str:
         indent=2,
         sort_keys=True,
     )
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis all",
-        description=(
-            "Run every static analysis pass (lint A*, flow F*, dist D*, "
-            "mem M*, par P*) over the tree with one merged report and one "
-            "exit code; --wiring-examples DIR folds in wiring verification "
-            "(W*) of example assemblies."
-        ),
-    )
-    parser.add_argument(
-        "paths",
-        nargs="+",
-        type=Path,
-        help="files or directories to analyze (directories walked recursively)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="output format (default: text)",
-    )
-    parser.add_argument(
-        "--sarif",
-        type=str,
-        default=None,
-        metavar="FILE",
-        help="additionally write a SARIF 2.1.0 log ('-' for stdout)",
-    )
-    parser.add_argument(
-        "--wiring-examples",
-        type=Path,
-        default=None,
-        metavar="DIR",
-        help="assemble every WIRING_ROOT script in DIR and verify wiring",
-    )
-    parser.add_argument(
-        "--select", action="append", default=None, metavar="RULES",
-        help="comma-separated rule prefixes to enable",
-    )
-    parser.add_argument(
-        "--ignore", action="append", default=None, metavar="RULES",
-        help="comma-separated rule prefixes to disable",
-    )
-    parser.add_argument(
-        "--config", type=Path, default=None, metavar="PYPROJECT",
-        help="pyproject.toml to read [tool.repro.analysis] from",
-    )
-    return parser
-
-
-def _split_csv(values: Optional[Sequence[str]]) -> tuple[str, ...]:
-    if not values:
-        return ()
-    out: list[str] = []
-    for value in values:
-        out.extend(part.strip() for part in value.split(",") if part.strip())
-    return tuple(out)
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(list(argv) if argv is not None else None)
-
-    for path in args.paths:
-        if not path.exists():
-            print(f"error: no such path: {path}", file=sys.stderr)
-            return 2
-    if args.wiring_examples is not None and not args.wiring_examples.is_dir():
-        print(
-            f"error: not a directory: {args.wiring_examples}", file=sys.stderr
-        )
-        return 2
-
-    pyproject = args.config
-    if pyproject is None:
-        pyproject = find_pyproject(args.paths[0])
-    try:
-        config = load_config(pyproject) if pyproject else AnalysisConfig()
-    except Exception as exc:  # noqa: BLE001 - report config errors as usage errors
-        print(f"error: bad config {pyproject}: {exc}", file=sys.stderr)
-        return 2
-    config = config.merged(
-        select=_split_csv(args.select) if args.select else None,
-        ignore=_split_csv(args.ignore) if args.ignore else None,
-    )
-
-    per_pass = run_all(
-        args.paths, config=config, wiring_examples=args.wiring_examples
-    )
-    merged = merged_findings(per_pass)
-
-    if args.sarif is not None:
-        write_sarif(merged, args.sarif)
-    if args.format == "json":
-        print(to_aggregate_json(per_pass))
-    else:
-        for finding in merged:
-            print(finding.format())
-        totals = ", ".join(
-            f"{name}: {len(findings)}" for name, findings in per_pass.items()
-        )
-        print(f"{len(merged)} finding(s) ({totals})")
-    return 1 if merged else 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

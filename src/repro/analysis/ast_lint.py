@@ -6,7 +6,9 @@ in two phases:
 1. **Index** every scanned file (plus the installed ``repro`` package, so
    linting ``examples/`` alone still knows the framework's types): class
    hierarchies by name, ``PortType`` subclasses with their declared
-   positive/negative event types, and ``Event`` subclasses.
+   positive/negative event types, and ``Event`` subclasses.  The index,
+   the parse cache and the syntax helpers here are shared by every static
+   pass through :class:`~repro.analysis.program.Program`.
 2. **Lint** each ``ComponentDefinition`` subclass against the rules in
    :mod:`repro.analysis.rules` (A001–A005).
 
@@ -22,10 +24,13 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
-from .config import AnalysisConfig, is_suppressed
+from .config import AnalysisConfig
 from .findings import Finding
+
+if TYPE_CHECKING:
+    from .program import Program
 
 #: Root class names anchoring the three hierarchies the linter reasons about.
 COMPONENT_ROOT = "ComponentDefinition"
@@ -40,6 +45,31 @@ def _base_name(node: ast.expr) -> Optional[str]:
     if isinstance(node, ast.Attribute):
         return node.attr
     return None
+
+
+def _first_param(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> Optional[str]:
+    """Name of a method's receiver parameter (``self``), or None."""
+    args = fn.args.posonlyargs + fn.args.args
+    return args[0].arg if args else None
+
+
+def _self_attr(expr: ast.expr, selfname: Optional[str]) -> Optional[str]:
+    """``self.attr`` -> ``"attr"``; anything else -> None."""
+    if (
+        isinstance(expr, ast.Attribute)
+        and isinstance(expr.value, ast.Name)
+        and expr.value.id == selfname
+    ):
+        return expr.attr
+    return None
+
+
+def _is_classvar(ann: ast.expr) -> bool:
+    return any(
+        _base_name(node) == "ClassVar"
+        for node in ast.walk(ann)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
 
 
 @dataclass
@@ -79,6 +109,11 @@ class ModuleInfo:
         return ""
 
 
+#: One finding before rule selection and suppression:
+#: ``(rule, message, module, line, col, extra)``.
+Raw = tuple[str, str, ModuleInfo, Optional[int], Optional[int], dict]
+
+
 class ProjectIndex:
     """Name-level view of every class in the scanned file set."""
 
@@ -98,16 +133,9 @@ class ProjectIndex:
                 self._add_class(module, node)
 
     def _add_class(self, module: ModuleInfo, node: ast.ClassDef) -> None:
-        bases = tuple(b for b in map(_base_name, node.bases) if b)
-        info = ClassInfo(node.name, module, node, bases)
-        for item in node.body:
-            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                info.methods[item.name] = item
-                info.handlers[item.name] = HandlerInfo(
-                    item.name, item, _handles_decorator(item), _event_param(item)
-                )
+        info = _class_record(module, node)
         self.classes[node.name] = info
-        self.bases.setdefault(node.name, set()).update(bases)
+        self.bases.setdefault(node.name, set()).update(info.bases)
         self._extract_port_decl(node)
 
     def _extract_port_decl(self, node: ast.ClassDef) -> None:
@@ -200,6 +228,30 @@ class ProjectIndex:
         return None
 
 
+def _class_record(module: ModuleInfo, node: ast.ClassDef) -> ClassInfo:
+    bases = tuple(b for b in map(_base_name, node.bases) if b)
+    info = ClassInfo(node.name, module, node, bases)
+    for item in node.body:
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            info.methods[item.name] = item
+            info.handlers[item.name] = HandlerInfo(
+                item.name, item, _handles_decorator(item), _event_param(item)
+            )
+    return info
+
+
+def class_info(node: ast.ClassDef, module: ModuleInfo, index: ProjectIndex) -> ClassInfo:
+    """The index record for ``node``, re-bound if the name was reused.
+
+    The index keeps the last definition of a class name; a pass checking
+    an earlier definition of the same name gets a record of its own.
+    """
+    info = index.classes.get(node.name)
+    if info is not None and info.node is node:
+        return info
+    return _class_record(module, node)
+
+
 def _extract_responds_to(value: ast.expr) -> dict[str, tuple[str, ...]]:
     """Parse a ``responds_to = {Request: (Indication, ...)}`` literal."""
     mapping: dict[str, tuple[str, ...]] = {}
@@ -268,14 +320,7 @@ class ComponentClassContext:
 def _self_method_ref(subscribe_call: ast.Call) -> Optional[str]:
     if not subscribe_call.args:
         return None
-    first = subscribe_call.args[0]
-    if (
-        isinstance(first, ast.Attribute)
-        and isinstance(first.value, ast.Name)
-        and first.value.id == "self"
-    ):
-        return first.attr
-    return None
+    return _self_attr(subscribe_call.args[0], "self")
 
 
 def _extract_context(info: ClassInfo, index: ProjectIndex) -> ComponentClassContext:
@@ -285,34 +330,20 @@ def _extract_context(info: ClassInfo, index: ProjectIndex) -> ComponentClassCont
             if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
                 call = node.value
                 fn = call.func
-                if (
-                    isinstance(fn, ast.Attribute)
-                    and isinstance(fn.value, ast.Name)
-                    and fn.value.id == "self"
-                    and fn.attr in ("provides", "requires")
-                    and call.args
-                ):
+                if _self_attr(fn, "self") in ("provides", "requires") and call.args:
                     port_name = _base_name(call.args[0])
                     if port_name is None:
                         continue
                     for target in node.targets:
-                        if (
-                            isinstance(target, ast.Attribute)
-                            and isinstance(target.value, ast.Name)
-                            and target.value.id == "self"
-                        ):
-                            ctx.ports[target.attr] = (port_name, fn.attr == "provides")
+                        attr = _self_attr(target, "self")
+                        if attr is not None:
+                            ctx.ports[attr] = (port_name, fn.attr == "provides")
             elif isinstance(node, ast.Call):
-                fn = node.func
-                if (
-                    isinstance(fn, ast.Attribute)
-                    and isinstance(fn.value, ast.Name)
-                    and fn.value.id == "self"
-                ):
-                    if fn.attr == "subscribe":
-                        ctx.subscribe_calls.append(node)
-                    elif fn.attr == "trigger":
-                        ctx.trigger_calls.append((node, method))
+                verb = _self_attr(node.func, "self")
+                if verb == "subscribe":
+                    ctx.subscribe_calls.append(node)
+                elif verb == "trigger":
+                    ctx.trigger_calls.append((node, method))
     return ctx
 
 
@@ -376,20 +407,24 @@ def _framework_registry_paths() -> list[Path]:
     return [Path(repro.__file__).parent]
 
 
-def build_index(
-    lint_modules: list[ModuleInfo], registry_paths: Iterable[Path] = ()
-) -> ProjectIndex:
-    index = ProjectIndex()
-    linted = {module.path.resolve() for module in lint_modules}
-    for path in iter_python_files(registry_paths):
-        if path.resolve() in linted:
+def check(program: Program) -> Iterator[Raw]:
+    """The A001–A005 lint over every scanned component class."""
+    from . import rules
+
+    for module, node, info in program.class_defs():
+        if not program.index.is_component(node.name) or node.name == COMPONENT_ROOT:
             continue
-        module = parse_module(path)
-        if module is not None:
-            index.add_module(module)
-    for module in lint_modules:
-        index.add_module(module)
-    return index
+        ctx = _extract_context(info, program.index)
+        for rule_check in rules.AST_CHECKS:
+            for rule_id, message, where in rule_check(ctx):
+                yield (
+                    rule_id,
+                    message,
+                    module,
+                    getattr(where, "lineno", None),
+                    getattr(where, "col_offset", None),
+                    {},
+                )
 
 
 def lint_paths(
@@ -397,54 +432,6 @@ def lint_paths(
     config: Optional[AnalysisConfig] = None,
 ) -> list[Finding]:
     """Run the AST lint over files/directories; returns sorted findings."""
-    from . import rules
+    from .program import Program  # program.py builds on this module
 
-    config = config or AnalysisConfig()
-    modules = []
-    for path in iter_python_files(paths):
-        if config.path_excluded(path):
-            continue
-        module = parse_module(path)
-        if module is not None:
-            modules.append(module)
-    index = build_index(modules, _framework_registry_paths())
-
-    findings: list[Finding] = []
-    for module in modules:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            if not index.is_component(node.name) or node.name == COMPONENT_ROOT:
-                continue
-            info = index.classes.get(node.name)
-            if info is None or info.node is not node:
-                # Re-bind: index holds the last definition of a reused
-                # name; lint the actual node seen in this module.
-                info = ClassInfo(node.name, module, node, tuple(
-                    b for b in map(_base_name, node.bases) if b
-                ))
-                for item in node.body:
-                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        info.methods[item.name] = item
-                        info.handlers[item.name] = HandlerInfo(
-                            item.name, item, _handles_decorator(item), _event_param(item)
-                        )
-            ctx = _extract_context(info, index)
-            for check in rules.AST_CHECKS:
-                for rule_id, message, where in check(ctx):
-                    if not config.rule_enabled(rule_id):
-                        continue
-                    line = getattr(where, "lineno", None)
-                    if line is not None and is_suppressed(rule_id, module.line(line)):
-                        continue
-                    findings.append(
-                        Finding(
-                            rule=rule_id,
-                            message=message,
-                            file=str(module.path),
-                            line=line,
-                            col=getattr(where, "col_offset", None),
-                        )
-                    )
-    findings.sort(key=lambda f: (f.file or "", f.line or 0, f.rule))
-    return findings
+    return Program(paths, config).report(check)

@@ -7,7 +7,8 @@ Configuration lives in ``pyproject.toml``::
     ignore = ["A002"]        # rule ids or prefixes to disable
     exclude = ["**/_build/**"]  # path globs the linter skips
 
-CLI flags (``--select``, ``--ignore``) override the file.  Line-level
+CLI flags (``--select``, ``--ignore``) override the file; an unknown rule
+or prefix in either place is a usage error.  Line-level
 suppression uses a trailing comment on the flagged line::
 
     handler_does_io()  # repro: noqa[A002]
@@ -85,13 +86,15 @@ def load_config(pyproject: Optional[Path] = None) -> AnalysisConfig:
         ignore=tuple(table.get("ignore", ())),
         exclude=tuple(table.get("exclude", ())),
     )
-    for patterns in (config.select, config.ignore):
-        for pattern in patterns:
-            if not any(rule_id.startswith(pattern) for rule_id in RULES):
-                raise ValueError(
-                    f"[tool.repro.analysis] names unknown rule or prefix {pattern!r}"
-                )
+    check_patterns(config.select + config.ignore, "[tool.repro.analysis]")
     return config
+
+
+def check_patterns(patterns: Iterable[str], source: str) -> None:
+    """Raise ValueError when a select/ignore pattern matches no rule id."""
+    for pattern in patterns:
+        if not any(rule_id.startswith(pattern) for rule_id in RULES):
+            raise ValueError(f"{source} names unknown rule or prefix {pattern!r}")
 
 
 def find_pyproject(start: Optional[Path] = None) -> Optional[Path]:

@@ -21,10 +21,11 @@ can survive a process boundary:
   compact-codec registration (they ride the pickle fallback at wire speed).
 
 Like the lint and flow passes this is name-based and degrades to silence:
-a name the index cannot ground is never reported.  The pass shares the
-AST parse cache, and :func:`classify_events` exposes the D001 verdicts so
-the round-trip property suite can pin static judgement to the runtime
-pickle codec (``tests/property/test_dist_roundtrip.py``).
+a name the index cannot ground is never reported.  The pass reads the
+shared :class:`~repro.analysis.program.Program`, and
+:func:`classify_events` exposes the D001 verdicts so the round-trip
+property suite can pin static judgement to the runtime pickle codec
+(``tests/property/test_dist_roundtrip.py``).
 
 Command line: ``python -m repro.analysis dist src examples``.
 """

@@ -1,10 +1,8 @@
 """The D001–D006 checks over the extraction model.
 
 Each check yields ``(rule, message, module, line, col, extra)`` tuples
-anchored in scanned modules only; :func:`analyze_paths` applies rule
-selection and ``# repro: noqa[D...]`` suppression and returns sorted
-:class:`~repro.analysis.findings.Finding` records — the same driver
-contract as the lint and flow passes.
+anchored in scanned modules only; :meth:`Program.report
+<repro.analysis.program.Program.report>` turns them into findings.
 """
 
 from __future__ import annotations
@@ -19,42 +17,26 @@ from ..ast_lint import (
     ClassInfo,
     ModuleInfo,
     ProjectIndex,
+    Raw,
     _base_name,
+    _first_param,
+    _self_attr,
 )
-from ..config import AnalysisConfig, is_suppressed
+from ..config import AnalysisConfig
 from ..findings import Finding
-from ..flow.extract import _first_param, _instance_map, _is_trigger
-from ..flow.graph import build_flow_graph
-from .model import DistModel, EventVerdict, build_component_model, build_dist_model
+from ..flow.extract import _instance_map, _is_trigger
+from ..program import Program
+from .model import ComponentModel, EventVerdict, _own_fields, build_component_model
 
 _NETWORK_ROOT = "Network"
-
-_Raw = tuple[str, str, ModuleInfo, int, Optional[int], dict]
-
-
-def _class_info(node: ast.ClassDef, module: ModuleInfo, index: ProjectIndex) -> ClassInfo:
-    """The index record for ``node``, re-bound if the name was reused."""
-    info = index.classes.get(node.name)
-    if info is not None and info.node is node:
-        return info
-    rebound = ClassInfo(
-        node.name, module, node, tuple(b for b in map(_base_name, node.bases) if b)
-    )
-    for item in node.body:
-        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            rebound.methods[item.name] = item
-    return rebound
 
 
 # ------------------------------------------------------------------- D001
 
 
 def _check_events(
-    node: ast.ClassDef, module: ModuleInfo, index: ProjectIndex, model: DistModel
-) -> Iterator[_Raw]:
-    from .model import _own_fields
-
-    info = _class_info(node, module, index)
+    node: ast.ClassDef, module: ModuleInfo, info: ClassInfo, index: ProjectIndex
+) -> Iterator[Raw]:
     for fld in _own_fields(info, index):
         if fld.reason is None:
             continue
@@ -172,17 +154,12 @@ def _loop_targets_around(
 
 
 def _check_component_methods(
-    node: ast.ClassDef,
     module: ModuleInfo,
+    info: ClassInfo,
+    comp: ComponentModel,
     index: ProjectIndex,
-    model: DistModel,
     module_instances: dict[str, str],
-) -> Iterator[_Raw]:
-    comp = model.components.get(node.name)
-    info = _class_info(node, module, index)
-    if comp is None or comp.file != str(module.path):
-        comp = build_component_model(info, index)
-
+) -> Iterator[Raw]:
     for method in info.methods.values():
         selfname = _first_param(method)
         if selfname is None:
@@ -200,13 +177,7 @@ def _check_component_methods(
             n for n in ast.walk(method) if isinstance(n, ast.Call)
         ):
             fn = call.func
-            if (
-                isinstance(fn, ast.Attribute)
-                and fn.attr == "subscribe"
-                and isinstance(fn.value, ast.Name)
-                and fn.value.id == selfname
-                and call.args
-            ):
+            if _self_attr(fn, selfname) == "subscribe" and call.args:
                 yield from _check_subscribe_handler(
                     call, module, selfname, loops, local_defs
                 )
@@ -227,7 +198,7 @@ def _check_subscribe_handler(
     selfname: str,
     loops: list[tuple[set[str], set[int]]],
     local_defs: dict[str, ast.FunctionDef],
-) -> Iterator[_Raw]:
+) -> Iterator[Raw]:
     handler = call.args[0]
     if isinstance(handler, ast.Lambda):
         captures = _lambda_captures(
@@ -266,7 +237,7 @@ def _check_payload(
     comp,
     instances: dict[str, str],
     loops: list[tuple[set[str], set[int]]],
-) -> Iterator[_Raw]:
+) -> Iterator[Raw]:
     for arg in _ctor_payload_exprs(ctor):
         for node, shielded in _payload_nodes(arg):
             if shielded:
@@ -354,11 +325,8 @@ def _check_payload(
 
 
 def _check_component_state(
-    node: ast.ClassDef, module: ModuleInfo, index: ProjectIndex, model: DistModel
-) -> Iterator[_Raw]:
-    comp = model.components.get(node.name)
-    if comp is None or comp.file != str(module.path):
-        comp = build_component_model(_class_info(node, module, index), index)
+    node: ast.ClassDef, module: ModuleInfo, comp: ComponentModel
+) -> Iterator[Raw]:
     if comp.has_state_hooks or not comp.resource_attrs:
         return
     for attr, resource, line in comp.resource_attrs:
@@ -377,15 +345,10 @@ def _check_component_state(
 # ------------------------------------------------------------------- D006
 
 
-def _check_codec_coverage(
-    model: DistModel,
-    scanned: dict[str, ModuleInfo],
-    paths: Iterable[Path | str],
-    config: AnalysisConfig,
-) -> Iterator[_Raw]:
-    graph, _ = build_flow_graph(paths, config)
+def _check_codec_coverage(program: Program) -> Iterator[Raw]:
+    model, scanned = program.dist, program.scanned
     crossing: dict[str, list] = {}
-    for producer in graph.producers:
+    for producer in program.flow.producers:
         if producer.event is None:
             continue
         if not model.index.descends_from(producer.port_type, _NETWORK_ROOT):
@@ -422,50 +385,28 @@ def _check_codec_coverage(
 # ----------------------------------------------------------------- driver
 
 
+def check(program: Program) -> Iterator[Raw]:
+    """Every D001–D006 hit in the scanned modules."""
+    index, model = program.index, program.dist
+    for module, node, info in program.class_defs():
+        if index.is_event(node.name) and node.name != EVENT_ROOT:
+            yield from _check_events(node, module, info, index)
+        if index.is_component(node.name) and node.name != COMPONENT_ROOT:
+            comp = model.components.get(node.name)
+            if comp is None or comp.file != str(module.path):
+                comp = build_component_model(info, index)
+            instances = _instance_map(module.tree.body, index)
+            yield from _check_component_methods(module, info, comp, index, instances)
+            yield from _check_component_state(node, module, comp)
+    yield from _check_codec_coverage(program)
+
+
 def analyze_paths(
     paths: Iterable[Path | str],
     config: Optional[AnalysisConfig] = None,
 ) -> list[Finding]:
     """Run the dist pass over files/directories; returns sorted findings."""
-    config = config or AnalysisConfig()
-    model, scanned = build_dist_model(paths, config)
-    index = model.index
-
-    raw: list[_Raw] = []
-    for module in scanned.values():
-        module_instances = _instance_map(module.tree.body, index)
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            if index.is_event(node.name) and node.name != EVENT_ROOT:
-                raw.extend(_check_events(node, module, index, model))
-            if index.is_component(node.name) and node.name != COMPONENT_ROOT:
-                raw.extend(
-                    _check_component_methods(
-                        node, module, index, model, module_instances
-                    )
-                )
-                raw.extend(_check_component_state(node, module, index, model))
-    raw.extend(_check_codec_coverage(model, scanned, paths, config))
-
-    findings: list[Finding] = []
-    for rule_id, message, module, line, col, extra in raw:
-        if not config.rule_enabled(rule_id):
-            continue
-        if is_suppressed(rule_id, module.line(line)):
-            continue
-        findings.append(
-            Finding(
-                rule=rule_id,
-                message=message,
-                file=str(module.path),
-                line=line,
-                col=col,
-                extra=extra,
-            )
-        )
-    findings.sort(key=lambda f: (f.file or "", f.line or 0, f.rule))
-    return findings
+    return Program(paths, config).report(check)
 
 
 def classify_events(
@@ -478,5 +419,5 @@ def classify_events(
     ``wire_safe`` here must pickle round-trip byte-stably, and every event
     that does not must carry at least one reason.
     """
-    model, _ = build_dist_model(paths, config)
+    model = Program(paths, config).dist
     return {name: model.verdict(name) for name in model.event_names()}

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from ..ast_lint import (
     COMPONENT_ROOT,
@@ -30,12 +29,12 @@ from ..ast_lint import (
     ModuleInfo,
     ProjectIndex,
     _base_name,
-    _framework_registry_paths,
-    build_index,
-    iter_python_files,
-    parse_module,
+    _first_param,
+    _self_attr,
 )
-from ..config import AnalysisConfig
+
+if TYPE_CHECKING:
+    from ..program import Program
 
 #: Dotted-name prefixes whose instances hold OS state (threads, sockets,
 #: files, queues, servers).  Matched against names resolved through the
@@ -318,7 +317,7 @@ def build_component_model(
         ),
     )
     for method in info.methods.values():
-        selfname = method.args.args[0].arg if method.args.args else None
+        selfname = _first_param(method)
         if selfname is None:
             continue
         for stmt in ast.walk(method):
@@ -331,29 +330,20 @@ def build_component_model(
             else:
                 continue
             for target in targets:
-                if not (
-                    isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == selfname
-                ):
+                attr = _self_attr(target, selfname)
+                if attr is None:
                     continue
-                attr = target.attr
                 if _is_mutable_value(value):
                     model.mutable_attrs.setdefault(attr, stmt.lineno)
                 resource = _resource_call(value, info.module)
                 if resource is not None:
                     model.resource_attrs.append((attr, resource, stmt.lineno))
                 if isinstance(value, ast.Call):
-                    fn = value.func
-                    if (
-                        isinstance(fn, ast.Attribute)
-                        and isinstance(fn.value, ast.Name)
-                        and fn.value.id == selfname
-                    ):
-                        if fn.attr == "create":
-                            model.child_attrs.add(attr)
-                        elif fn.attr in ("provides", "requires"):
-                            model.port_attrs.add(attr)
+                    verb = _self_attr(value.func, selfname)
+                    if verb == "create":
+                        model.child_attrs.add(attr)
+                    elif verb in ("provides", "requires"):
+                        model.port_attrs.add(attr)
     return model
 
 
@@ -420,37 +410,13 @@ def _scan_registrations(module: ModuleInfo, registered: set[str]) -> None:
                     registered.add(name)
 
 
-def build_dist_model(
-    paths: Iterable[Path | str],
-    config: Optional[AnalysisConfig] = None,
-) -> tuple[DistModel, dict[str, ModuleInfo]]:
-    """Build the model; returns it plus the scanned modules (findings set).
+def build_dist_model(program: Program) -> DistModel:
+    """Model every indexed class, framework included.
 
-    Framework modules (the installed ``repro`` package) are indexed and
-    modelled so inherited fields and base classes ground, but findings are
-    only ever anchored in scanned files — same contract as the flow pass.
+    Framework classes are modelled so inherited fields and base classes
+    ground; findings are still only anchored in scanned files.
     """
-    config = config or AnalysisConfig()
-    scanned: dict[str, ModuleInfo] = {}
-    modules: list[ModuleInfo] = []
-    for path in iter_python_files(paths):
-        if config.path_excluded(path):
-            continue
-        module = parse_module(path)
-        if module is not None:
-            modules.append(module)
-            scanned[str(module.path)] = module
-    index = build_index(modules, _framework_registry_paths())
-
-    all_modules = list(modules)
-    seen_paths = {module.path.resolve() for module in modules}
-    for path in iter_python_files(_framework_registry_paths()):
-        if path.resolve() in seen_paths:
-            continue
-        module = parse_module(path)
-        if module is not None:
-            all_modules.append(module)
-
+    index = program.index
     event_fields: dict[str, list[FieldModel]] = {}
     components: dict[str, ComponentModel] = {}
     registered: set[str] = set()
@@ -461,7 +427,6 @@ def build_dist_model(
             event_fields[name] = _own_fields(info, index)
         if index.is_component(name):
             components[name] = build_component_model(info, index)
-    for module in all_modules:
+    for module in program.all_modules():
         _scan_registrations(module, registered)
-
-    return DistModel(index, event_fields, components, registered), scanned
+    return DistModel(index, event_fields, components, registered)

@@ -42,6 +42,7 @@ from ..ast_lint import (
     ModuleInfo,
     ProjectIndex,
     _base_name,
+    _first_param,
 )
 
 POSITIVE = "+"
@@ -478,11 +479,6 @@ class _Extractor:
 
 
 # ------------------------------------------------------------------ helpers
-
-
-def _first_param(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> Optional[str]:
-    args = fn.args.posonlyargs + fn.args.args
-    return args[0].arg if args else None
 
 
 def _is_trigger(fn: ast.expr) -> bool:

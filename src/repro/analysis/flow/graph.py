@@ -13,16 +13,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
-from ..ast_lint import (
-    ModuleInfo,
-    ProjectIndex,
-    _framework_registry_paths,
-    build_index,
-    iter_python_files,
-    parse_module,
-)
-from ..config import AnalysisConfig, is_suppressed
+from ..ast_lint import ModuleInfo, ProjectIndex, Raw
+from ..config import AnalysisConfig
 from ..findings import Finding
+from ..program import Program
 from .extract import (
     NEGATIVE,
     POSITIVE,
@@ -56,11 +50,14 @@ class FlowGraph:
     )
 
     @classmethod
-    def from_extraction(
-        cls, index: ProjectIndex, extraction: FlowExtraction
-    ) -> "FlowGraph":
+    def build(cls, program: Program) -> "FlowGraph":
+        """Extract and join every module of the program, framework included."""
+        extractor = _Extractor(program.index)
+        extraction = FlowExtraction()
+        for module in program.all_modules():
+            extraction.extend(extractor.extract_module(module))
         graph = cls(
-            index,
+            program.index,
             extraction.producers,
             extraction.consumers,
             extraction.port_decls,
@@ -264,6 +261,14 @@ class FlowGraph:
 # ------------------------------------------------------------------- driver
 
 
+def check(program: Program) -> Iterator[Raw]:
+    """The F001–F005 hits anchored in scanned files."""
+    for rule_id, message, file, line, col, extra in program.flow.check():
+        module = program.scanned.get(file)
+        if module is not None:  # framework context: report only on scanned files
+            yield rule_id, message, module, line, col, extra
+
+
 def build_flow_graph(
     paths: Iterable[Path | str],
     config: Optional[AnalysisConfig] = None,
@@ -273,30 +278,8 @@ def build_flow_graph(
     The second element maps file path (as reported in findings) to its
     :class:`ModuleInfo` — the scan set that findings are restricted to.
     """
-    config = config or AnalysisConfig()
-    scanned: dict[str, ModuleInfo] = {}
-    modules: list[ModuleInfo] = []
-    for path in iter_python_files(paths):
-        if config.path_excluded(path):
-            continue
-        module = parse_module(path)
-        if module is not None:
-            modules.append(module)
-            scanned[str(module.path)] = module
-    index = build_index(modules, _framework_registry_paths())
-
-    extractor = _Extractor(index)
-    extraction = FlowExtraction()
-    seen = {module.path.resolve() for module in modules}
-    for module in modules:
-        extraction.extend(extractor.extract_module(module))
-    for path in iter_python_files(_framework_registry_paths()):
-        if path.resolve() in seen:
-            continue
-        module = parse_module(path)
-        if module is not None:
-            extraction.extend(extractor.extract_module(module))
-    return FlowGraph.from_extraction(index, extraction), scanned
+    program = Program(paths, config)
+    return program.flow, program.scanned
 
 
 def analyze_paths(
@@ -304,26 +287,4 @@ def analyze_paths(
     config: Optional[AnalysisConfig] = None,
 ) -> list[Finding]:
     """Run the flow pass over files/directories; returns sorted findings."""
-    config = config or AnalysisConfig()
-    graph, scanned = build_flow_graph(paths, config)
-    findings: list[Finding] = []
-    for rule_id, message, file, line, col, extra in graph.check():
-        module = scanned.get(file)
-        if module is None:
-            continue  # framework context: report only on scanned files
-        if not config.rule_enabled(rule_id):
-            continue
-        if is_suppressed(rule_id, module.line(line)):
-            continue
-        findings.append(
-            Finding(
-                rule=rule_id,
-                message=message,
-                file=file,
-                line=line,
-                col=col,
-                extra=extra,
-            )
-        )
-    findings.sort(key=lambda f: (f.file or "", f.line or 0, f.rule))
-    return findings
+    return Program(paths, config).report(check)

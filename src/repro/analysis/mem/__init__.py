@@ -27,8 +27,8 @@ keeps the verdicts honest at runtime:
 - **M006** heavyweight default: a mutable ``default_factory`` on an
   event field where an empty-tuple sentinel suffices.
 
-Command line: ``python -m repro.analysis mem src examples`` (same
-format/exit-code/suppression surface as the lint, flow, and dist CLIs);
+Command line: ``python -m repro.analysis mem src examples`` (the one
+command line every registered pass shares, :mod:`repro.analysis.cli`);
 also part of ``python -m repro.analysis all``.
 """
 

@@ -1,10 +1,8 @@
 """The M001–M006 checks over the extraction model.
 
 Each check yields ``(rule, message, module, line, col, extra)`` tuples
-anchored in scanned modules only; :func:`analyze_paths` applies rule
-selection and ``# repro: noqa[M...]`` suppression and returns sorted
-:class:`~repro.analysis.findings.Finding` records — the same driver
-contract as the lint, flow, and dist passes.
+anchored in scanned modules only; :meth:`Program.report
+<repro.analysis.program.Program.report>` turns them into findings.
 """
 
 from __future__ import annotations
@@ -20,22 +18,17 @@ from ..ast_lint import (
     ClassInfo,
     ModuleInfo,
     ProjectIndex,
+    Raw,
     _base_name,
+    _first_param,
+    _self_attr,
 )
-from ..config import AnalysisConfig, is_suppressed
+from ..config import AnalysisConfig
 from ..dist.checks import _payload_nodes
 from ..dist.model import _resolve_dotted, build_component_model
 from ..findings import Finding
-from .model import (
-    INIT_METHODS,
-    MemModel,
-    MUTABLE_CONTAINER_NAMES,
-    SlotInfo,
-    build_mem_model,
-    build_slot_info,
-)
-
-_Raw = tuple[str, str, ModuleInfo, int, Optional[int], dict]
+from ..program import Program
+from .model import INIT_METHODS, MemModel, SlotInfo, build_mem_model, build_slot_info
 
 #: Method calls that grow a container / that shrink or bound one.
 GROW_METHODS = frozenset(
@@ -51,42 +44,10 @@ MUTABLE_FACTORIES = frozenset(
 )
 
 
-def _class_info(node: ast.ClassDef, module: ModuleInfo, index: ProjectIndex) -> ClassInfo:
-    """The index record for ``node``, re-bound if the name was reused."""
-    info = index.classes.get(node.name)
-    if info is not None and info.node is node:
-        return info
-    rebound = ClassInfo(
-        node.name, module, node, tuple(b for b in map(_base_name, node.bases) if b)
-    )
-    for item in node.body:
-        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            rebound.methods[item.name] = item
-    return rebound
-
-
 def _slot_info_for(node: ast.ClassDef, info: ClassInfo, model: MemModel) -> SlotInfo:
-    cached = model.slots.get(node.name)
-    indexed = model.index.classes.get(node.name)
-    if cached is not None and indexed is not None and indexed.node is node:
-        return cached
+    if info is model.index.classes.get(node.name):
+        return model.slots[node.name]
     return build_slot_info(info)
-
-
-def _self_attr(expr: ast.expr, selfname: str) -> Optional[str]:
-    """``self.attr`` -> ``"attr"``; anything else -> None."""
-    if (
-        isinstance(expr, ast.Attribute)
-        and isinstance(expr.value, ast.Name)
-        and expr.value.id == selfname
-    ):
-        return expr.attr
-    return None
-
-
-def _first_param(method: ast.FunctionDef) -> Optional[str]:
-    args = method.args.posonlyargs + method.args.args
-    return args[0].arg if args else None
 
 
 # ------------------------------------------------------------------- M001
@@ -100,7 +61,7 @@ def _in_m001_domain(name: str, index: ProjectIndex) -> bool:
 
 def _check_missing_slots(
     node: ast.ClassDef, module: ModuleInfo, model: MemModel, slot_info: SlotInfo
-) -> Iterator[_Raw]:
+) -> Iterator[Raw]:
     if slot_info.has_slots:
         return
     if not model.bases_complete(node.name):
@@ -128,7 +89,7 @@ def _check_missing_slots(
 
 def _check_dynamic_attrs(
     node: ast.ClassDef, module: ModuleInfo, model: MemModel, slot_info: SlotInfo
-) -> Iterator[_Raw]:
+) -> Iterator[Raw]:
     if not (slot_info.has_slots or model.bases_complete(node.name)):
         return
     if not slot_info.dynamic_writes:
@@ -178,9 +139,7 @@ def _mutable_factory(value: ast.expr) -> Optional[str]:
     return None
 
 
-def _check_heavy_defaults(
-    node: ast.ClassDef, module: ModuleInfo, model: MemModel
-) -> Iterator[_Raw]:
+def _check_heavy_defaults(node: ast.ClassDef, module: ModuleInfo) -> Iterator[Raw]:
     for item in node.body:
         if not (
             isinstance(item, ast.AnnAssign)
@@ -265,12 +224,15 @@ def _shrink_attrs(info: ClassInfo) -> set[str]:
 
 
 def _check_unbounded_growth(
-    node: ast.ClassDef, module: ModuleInfo, model: MemModel, info: ClassInfo
-) -> Iterator[_Raw]:
+    node: ast.ClassDef,
+    module: ModuleInfo,
+    model: MemModel,
+    info: ClassInfo,
+    handlers: set[str],
+) -> Iterator[Raw]:
     comp = build_component_model(info, model.index)
     if not comp.mutable_attrs:
         return
-    handlers = model.handlers_of(node.name) - INIT_METHODS
     shrunk = _shrink_attrs(info)
     reported: set[str] = set()
     for name in sorted(handlers):
@@ -302,9 +264,12 @@ def _check_unbounded_growth(
 
 
 def _check_retained_event(
-    node: ast.ClassDef, module: ModuleInfo, model: MemModel, info: ClassInfo
-) -> Iterator[_Raw]:
-    handlers = model.handlers_of(node.name) - INIT_METHODS
+    node: ast.ClassDef,
+    module: ModuleInfo,
+    model: MemModel,
+    info: ClassInfo,
+    handlers: set[str],
+) -> Iterator[Raw]:
     for name in sorted(handlers):
         method = info.methods.get(name)
         if method is None:
@@ -404,9 +369,8 @@ def _loop_node_ids(method: ast.FunctionDef) -> set[int]:
 
 
 def _check_interning(
-    node: ast.ClassDef, module: ModuleInfo, model: MemModel, info: ClassInfo
-) -> Iterator[_Raw]:
-    handlers = model.handlers_of(node.name) - INIT_METHODS
+    node: ast.ClassDef, module: ModuleInfo, info: ClassInfo, handlers: set[str]
+) -> Iterator[Raw]:
     for method in info.methods.values():
         if method.name in INIT_METHODS:
             continue
@@ -435,47 +399,27 @@ def _check_interning(
 # ----------------------------------------------------------------- driver
 
 
+def check(program: Program) -> Iterator[Raw]:
+    """Every M001–M006 hit in the scanned modules."""
+    index = program.index
+    model = build_mem_model(program)
+    for module, node, info in program.class_defs():
+        if _in_m001_domain(node.name, index):
+            slot_info = _slot_info_for(node, info, model)
+            yield from _check_missing_slots(node, module, model, slot_info)
+            yield from _check_dynamic_attrs(node, module, model, slot_info)
+        if index.is_event(node.name) and node.name != EVENT_ROOT:
+            yield from _check_heavy_defaults(node, module)
+        if index.is_component(node.name) and node.name != COMPONENT_ROOT:
+            handlers = program.handlers_of(node.name) - INIT_METHODS
+            yield from _check_unbounded_growth(node, module, model, info, handlers)
+            yield from _check_retained_event(node, module, model, info, handlers)
+            yield from _check_interning(node, module, info, handlers)
+
+
 def analyze_paths(
     paths: Iterable[Path | str],
     config: Optional[AnalysisConfig] = None,
 ) -> list[Finding]:
     """Run the mem pass over files/directories; returns sorted findings."""
-    config = config or AnalysisConfig()
-    model, scanned = build_mem_model(paths, config)
-    index = model.index
-
-    raw: list[_Raw] = []
-    for module in scanned.values():
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            info = _class_info(node, module, index)
-            if _in_m001_domain(node.name, index):
-                slot_info = _slot_info_for(node, info, model)
-                raw.extend(_check_missing_slots(node, module, model, slot_info))
-                raw.extend(_check_dynamic_attrs(node, module, model, slot_info))
-            if index.is_event(node.name) and node.name != EVENT_ROOT:
-                raw.extend(_check_heavy_defaults(node, module, model))
-            if index.is_component(node.name) and node.name != COMPONENT_ROOT:
-                raw.extend(_check_unbounded_growth(node, module, model, info))
-                raw.extend(_check_retained_event(node, module, model, info))
-                raw.extend(_check_interning(node, module, model, info))
-
-    findings: list[Finding] = []
-    for rule_id, message, module, line, col, extra in raw:
-        if not config.rule_enabled(rule_id):
-            continue
-        if is_suppressed(rule_id, module.line(line)):
-            continue
-        findings.append(
-            Finding(
-                rule=rule_id,
-                message=message,
-                file=str(module.path),
-                line=line,
-                col=col,
-                extra=extra,
-            )
-        )
-    findings.sort(key=lambda f: (f.file or "", f.line or 0, f.rule))
-    return findings
+    return Program(paths, config).report(check)

@@ -1,8 +1,9 @@
 """Extraction model for the memory-footprint pass.
 
-Everything here is derived from the shared :mod:`..ast_lint` index and
-the flow pass's producer/consumer graph — no imports of analyzed code.
-The model answers three questions per class:
+Everything here is derived from the shared program model
+(:class:`~repro.analysis.program.Program`): its index and the handler
+facts it draws from the flow pass's producer/consumer graph — no imports
+of analyzed code.  The model answers three questions per class:
 
 - slotting: does the class declare ``__slots__`` (literally or via
   ``@dataclass(slots=True)``), which instance attributes does it declare,
@@ -24,21 +25,19 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from ..ast_lint import (
     ClassInfo,
-    ModuleInfo,
     ProjectIndex,
     _base_name,
-    build_index,
-    _framework_registry_paths,
-    iter_python_files,
-    parse_module,
+    _first_param,
+    _is_classvar,
+    _self_attr,
 )
-from ..config import AnalysisConfig
-from ..flow.graph import build_flow_graph
+
+if TYPE_CHECKING:
+    from ..program import Program
 
 #: Annotation/default-factory roots denoting mutable containers.
 MUTABLE_CONTAINER_NAMES = frozenset(
@@ -107,14 +106,6 @@ def _slots_literal(value: ast.expr) -> Optional[frozenset[str]]:
     return None  # computed __slots__: counts as slotted, fields unknown
 
 
-def _is_classvar(ann: ast.expr) -> bool:
-    for node in ast.walk(ann):
-        if isinstance(node, (ast.Name, ast.Attribute)):
-            if _base_name(node) == "ClassVar":
-                return True
-    return False
-
-
 def _self_attr_writes(
     method: ast.FunctionDef,
 ) -> Iterable[tuple[str, int]]:
@@ -124,9 +115,9 @@ def _self_attr_writes(
     cannot create, but a slotted class still needs the name declared) and
     the frozen-dataclass idiom ``object.__setattr__(self, "x", ...)``.
     """
-    if not method.args.args:
+    selfname = _first_param(method)
+    if selfname is None:
         return
-    selfname = method.args.args[0].arg
     for node in ast.walk(method):
         targets: list[ast.expr] = []
         if isinstance(node, ast.Assign):
@@ -149,12 +140,9 @@ def _self_attr_writes(
                 yield node.args[1].value, node.lineno
             continue
         for target in targets:
-            if (
-                isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == selfname
-            ):
-                yield target.attr, node.lineno
+            attr = _self_attr(target, selfname)
+            if attr is not None:
+                yield attr, node.lineno
 
 
 def build_slot_info(info: ClassInfo) -> SlotInfo:
@@ -281,22 +269,6 @@ class MemModel:
             frontier.extend(self.index.bases.get(current, ()))
         return frozenset(out)
 
-    def handlers_of(self, component: str) -> set[str]:
-        """Names of methods of ``component`` that run as event handlers."""
-        out = {
-            method
-            for (cls, method) in self.handler_events
-            if cls == component
-        }
-        info = self.index.classes.get(component)
-        if info is not None:
-            out.update(
-                name
-                for name, handler in info.handlers.items()
-                if handler.event_type is not None
-            )
-        return out
-
     def events_of_handler(self, component: str, method: str) -> set[str]:
         """Event type names delivered to ``component.method`` (may be empty)."""
         return set(self.handler_events.get((component, method), ()))
@@ -324,48 +296,8 @@ class MemModel:
         return out
 
 
-def build_mem_model(
-    paths: Iterable[Path | str],
-    config: Optional[AnalysisConfig] = None,
-) -> tuple[MemModel, dict[str, ModuleInfo]]:
-    """Build the model; returns it plus the scanned modules (findings set).
-
-    Framework modules are indexed so inherited slot chains ground, but
-    findings are only ever anchored in scanned files — the same contract
-    as the flow and dist passes.  The flow graph (same parse cache) maps
-    every subscription site in the program back to its handler method, so
-    M002/M003 see subscribe-based handlers, not just ``@handles`` ones.
-    """
-    config = config or AnalysisConfig()
-    scanned: dict[str, ModuleInfo] = {}
-    modules: list[ModuleInfo] = []
-    for path in iter_python_files(paths):
-        if config.path_excluded(path):
-            continue
-        module = parse_module(path)
-        if module is not None:
-            modules.append(module)
-            scanned[str(module.path)] = module
-    index = build_index(modules, _framework_registry_paths())
-
-    slots: dict[str, SlotInfo] = {
-        name: build_slot_info(info) for name, info in index.classes.items()
-    }
-
-    graph, _ = build_flow_graph(paths, config)
-    handler_events: dict[tuple[str, str], set[str]] = {}
-    for consumer in graph.consumers:
-        if consumer.component == "<module>":
-            continue
-        key = (consumer.component, consumer.handler)
-        bucket = handler_events.setdefault(key, set())
-        if consumer.event is not None:
-            bucket.add(consumer.event)
-    for name, info in index.classes.items():
-        for handler in info.handlers.values():
-            if handler.event_type is not None:
-                handler_events.setdefault((name, handler.name), set()).add(
-                    handler.event_type
-                )
-
-    return MemModel(index, slots, handler_events), scanned
+def build_mem_model(program: Program) -> MemModel:
+    """Slotting facts for every indexed class, framework included, so
+    inherited slot chains ground; handler facts come from the program."""
+    slots = {name: build_slot_info(info) for name, info in program.index.classes.items()}
+    return MemModel(program.index, slots, program.handler_events)

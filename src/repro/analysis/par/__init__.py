@@ -33,9 +33,9 @@ the compact codec), differential-tested in ``tests/runtime/test_shard.py``:
   ``dump_state``/``load_state`` hooks, so the component cannot be
   migrated to rebalance shards.
 
-Command line: ``python -m repro.analysis par src examples`` (same
-format/exit-code/suppression surface as the lint, flow, dist, and mem
-CLIs); also part of ``python -m repro.analysis all``.
+Command line: ``python -m repro.analysis par src examples`` (the one
+command line every registered pass shares, :mod:`repro.analysis.cli`);
+also part of ``python -m repro.analysis all``.
 """
 
 from .checks import analyze_paths

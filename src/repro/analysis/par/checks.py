@@ -1,10 +1,8 @@
 """The P001–P006 checks over the extraction model.
 
 Each check yields ``(rule, message, module, line, col, extra)`` tuples
-anchored in scanned modules only; :func:`analyze_paths` applies rule
-selection and ``# repro: noqa[P...]`` suppression and returns sorted
-:class:`~repro.analysis.findings.Finding` records — the same driver
-contract as the lint, flow, dist, and mem passes.
+anchored in scanned modules only; :meth:`Program.report
+<repro.analysis.program.Program.report>` turns them into findings.
 """
 
 from __future__ import annotations
@@ -18,54 +16,23 @@ from ..ast_lint import (
     ClassInfo,
     ModuleInfo,
     ProjectIndex,
+    Raw,
     _base_name,
+    _first_param,
+    _self_attr,
 )
-from ..config import AnalysisConfig, is_suppressed
+from ..config import AnalysisConfig
 from ..findings import Finding
 from ..flow.graph import _CONTROL_PORTS
+from ..program import Program
 from .model import (
     A003_ATTRS,
     COMPONENT_HANDLE_API,
-    MUTATOR_METHODS,
     ParModel,
     SharedState,
     build_par_model,
     class_body_mutables,
 )
-
-_Raw = tuple[str, str, ModuleInfo, int, Optional[int], dict]
-
-
-def _class_info(
-    node: ast.ClassDef, module: ModuleInfo, index: ProjectIndex
-) -> ClassInfo:
-    """The index record for ``node``, re-bound if the name was reused."""
-    info = index.classes.get(node.name)
-    if info is not None and info.node is node:
-        return info
-    rebound = ClassInfo(
-        node.name, module, node, tuple(b for b in map(_base_name, node.bases) if b)
-    )
-    for item in node.body:
-        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            rebound.methods[item.name] = item
-    return rebound
-
-
-def _first_param(method: ast.FunctionDef) -> Optional[str]:
-    args = method.args.posonlyargs + method.args.args
-    return args[0].arg if args else None
-
-
-def _self_attr(expr: ast.expr, selfname: str) -> Optional[str]:
-    """``self.attr`` -> ``"attr"``; anything else -> None."""
-    if (
-        isinstance(expr, ast.Attribute)
-        and isinstance(expr.value, ast.Name)
-        and expr.value.id == selfname
-    ):
-        return expr.attr
-    return None
 
 
 def _local_names(method: ast.FunctionDef) -> set[str]:
@@ -142,8 +109,8 @@ def _check_divergent_state(
     model: ParModel,
     info: ClassInfo,
     shared: SharedState,
-) -> Iterator[_Raw]:
-    handlers = model.handlers_of(node.name)
+    handlers: set[str],
+) -> Iterator[Raw]:
     #: module-level containers with mutation evidence anywhere in the module
     hot_globals = {
         name: line
@@ -244,11 +211,11 @@ def _check_reach_through(
     module: ModuleInfo,
     model: ParModel,
     info: ClassInfo,
-) -> Iterator[_Raw]:
+    handlers: set[str],
+) -> Iterator[Raw]:
     handle = model.handles.get(node.name)
     if handle is None or not (handle.child_attrs or handle.definition_attrs):
         return
-    handlers = model.handlers_of(node.name)
     for name in sorted(handlers):
         method = info.methods.get(name)
         if method is None:
@@ -300,7 +267,7 @@ def _check_reach_through(
 
 def _check_shard_cut(
     model: ParModel, scanned: dict[str, ModuleInfo]
-) -> Iterator[_Raw]:
+) -> Iterator[Raw]:
     graph = model.graph
     reported: set[tuple[str, int, str]] = set()
     for producer in graph.producers:
@@ -381,8 +348,8 @@ def _check_identity_affinity(
     module: ModuleInfo,
     model: ParModel,
     info: ClassInfo,
-) -> Iterator[_Raw]:
-    handlers = model.handlers_of(node.name)
+    handlers: set[str],
+) -> Iterator[Raw]:
     for name in sorted(handlers):
         method = info.methods.get(name)
         if method is None:
@@ -454,11 +421,11 @@ def _check_sync_primitives(
     module: ModuleInfo,
     model: ParModel,
     info: ClassInfo,
-) -> Iterator[_Raw]:
+    handlers: set[str],
+) -> Iterator[Raw]:
     sync = model.sync_attrs(node.name)
     if not sync:
         return
-    handlers = model.handlers_of(node.name)
     for name in sorted(handlers):
         method = info.methods.get(name)
         if method is None:
@@ -516,7 +483,7 @@ def _check_unpinnable(
     node: ast.ClassDef,
     module: ModuleInfo,
     model: ParModel,
-) -> Iterator[_Raw]:
+) -> Iterator[Raw]:
     comp = model.component_model(node.name)
     if comp is None or not comp.mutable_attrs or comp.has_state_hooks:
         return
@@ -537,46 +504,25 @@ def _check_unpinnable(
 # ----------------------------------------------------------------- driver
 
 
+def check(program: Program) -> Iterator[Raw]:
+    """Every P001–P006 hit in the scanned modules."""
+    model = build_par_model(program)
+    for module, node, info in program.class_defs():
+        if not model.index.is_component(node.name) or node.name == COMPONENT_ROOT:
+            continue
+        handlers = program.handlers_of(node.name)
+        shared = model.shared[str(module.path)]
+        yield from _check_divergent_state(node, module, model, info, shared, handlers)
+        yield from _check_reach_through(node, module, model, info, handlers)
+        yield from _check_identity_affinity(node, module, model, info, handlers)
+        yield from _check_sync_primitives(node, module, model, info, handlers)
+        yield from _check_unpinnable(node, module, model)
+    yield from _check_shard_cut(model, program.scanned)
+
+
 def analyze_paths(
     paths: Iterable[Path | str],
     config: Optional[AnalysisConfig] = None,
 ) -> list[Finding]:
     """Run the par pass over files/directories; returns sorted findings."""
-    config = config or AnalysisConfig()
-    model, scanned = build_par_model(paths, config)
-    index = model.index
-
-    raw: list[_Raw] = []
-    for module in scanned.values():
-        shared = model.shared[str(module.path)]
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            if not index.is_component(node.name) or node.name == COMPONENT_ROOT:
-                continue
-            info = _class_info(node, module, index)
-            raw.extend(_check_divergent_state(node, module, model, info, shared))
-            raw.extend(_check_reach_through(node, module, model, info))
-            raw.extend(_check_identity_affinity(node, module, model, info))
-            raw.extend(_check_sync_primitives(node, module, model, info))
-            raw.extend(_check_unpinnable(node, module, model))
-    raw.extend(_check_shard_cut(model, scanned))
-
-    findings: list[Finding] = []
-    for rule_id, message, module, line, col, extra in raw:
-        if not config.rule_enabled(rule_id):
-            continue
-        if is_suppressed(rule_id, module.line(line)):
-            continue
-        findings.append(
-            Finding(
-                rule=rule_id,
-                message=message,
-                file=str(module.path),
-                line=line,
-                col=col,
-                extra=extra,
-            )
-        )
-    findings.sort(key=lambda f: (f.file or "", f.line or 0, f.rule))
-    return findings
+    return Program(paths, config).report(check)

@@ -1,12 +1,12 @@
 """Extraction model for the shard-safety pass.
 
-Everything here is derived from the shared :mod:`..ast_lint` index, the
-dist pass's component/event models, and the flow pass's producer/consumer
-graph — no imports of analyzed code, and every source file is parsed once
-through the shared cache.  The model answers four questions:
+Everything here is derived from the shared program model
+(:class:`~repro.analysis.program.Program`): its index, the dist pass's
+component/event models and the flow pass's producer/consumer graph — no
+imports of analyzed code.  Which methods run as event handlers comes from
+:meth:`Program.handlers_of <repro.analysis.program.Program.handlers_of>`,
+shared with the mem pass.  The model answers three questions:
 
-- handlers: which methods of a component run as event handlers
-  (``@handles`` plus every subscription site the flow graph grounds)?
 - shared state: which module-level and class-level names are bound to
   mutable containers, and which ``self`` attributes hold references to
   other component instances or synchronization primitives?
@@ -26,24 +26,20 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable, Optional
+from typing import Optional
 
 from ..ast_lint import (
     ClassInfo,
     ModuleInfo,
     ProjectIndex,
     _base_name,
+    _first_param,
+    _is_classvar,
+    _self_attr,
 )
-from ..config import AnalysisConfig
-from ..dist.model import (
-    ComponentModel,
-    DistModel,
-    _is_mutable_value,
-    _resolve_dotted,
-    build_dist_model,
-)
-from ..flow.graph import FlowGraph, build_flow_graph
+from ..dist.model import ComponentModel, DistModel, _is_mutable_value
+from ..flow.graph import FlowGraph
+from ..program import Program
 
 #: Constructors (resolved through the module's import table) whose result
 #: is a synchronization primitive a handler must never block on.  The
@@ -114,14 +110,6 @@ class HandleInfo:
     #: attrs holding another ``ComponentDefinition`` instance directly
     #: (constructed or received through an annotated parameter/field)
     definition_attrs: frozenset[str]
-
-
-def _is_classvar(ann: ast.expr) -> bool:
-    for node in ast.walk(ann):
-        if isinstance(node, (ast.Name, ast.Attribute)):
-            if _base_name(node) == "ClassVar":
-                return True
-    return False
 
 
 def class_body_mutables(node: ast.ClassDef) -> dict[str, int]:
@@ -225,7 +213,7 @@ def build_handle_info(info: ClassInfo, index: ProjectIndex) -> HandleInfo:
     child_attrs: set[str] = set()
     definition_attrs: set[str] = set()
     for method in info.methods.values():
-        selfname = method.args.args[0].arg if method.args.args else None
+        selfname = _first_param(method)
         if selfname is None:
             continue
         component_params = {
@@ -241,25 +229,16 @@ def build_handle_info(info: ClassInfo, index: ProjectIndex) -> HandleInfo:
             else:
                 continue
             for target in targets:
-                if not (
-                    isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == selfname
-                ):
+                attr = _self_attr(target, selfname)
+                if attr is None:
                     continue
-                attr = target.attr
                 if isinstance(stmt, ast.AnnAssign) and _annotated_component(
                     stmt.annotation, index
                 ):
                     definition_attrs.add(attr)
                 if isinstance(value, ast.Call):
                     fn = value.func
-                    if (
-                        isinstance(fn, ast.Attribute)
-                        and isinstance(fn.value, ast.Name)
-                        and fn.value.id == selfname
-                        and fn.attr == "create"
-                    ):
+                    if _self_attr(fn, selfname) == "create":
                         child_attrs.add(attr)
                         continue
                     ctor = _base_name(fn)
@@ -274,19 +253,13 @@ def _created_classes(info: ClassInfo) -> set[str]:
     """Component classes ``info`` instantiates via ``self.create(...)``."""
     out: set[str] = set()
     for method in info.methods.values():
-        selfname = method.args.args[0].arg if method.args.args else None
+        selfname = _first_param(method)
         if selfname is None:
             continue
         for node in ast.walk(method):
             if not isinstance(node, ast.Call) or not node.args:
                 continue
-            fn = node.func
-            if (
-                isinstance(fn, ast.Attribute)
-                and isinstance(fn.value, ast.Name)
-                and fn.value.id == selfname
-                and fn.attr == "create"
-            ):
+            if _self_attr(node.func, selfname) == "create":
                 name = _base_name(node.args[0])
                 if name is not None:
                     out.add(name)
@@ -306,26 +279,10 @@ class ParModel:
     handles: dict[str, HandleInfo]
     #: component class name -> component classes it creates
     creates: dict[str, set[str]]
-    #: (component class, method name) -> event type names it receives
-    handler_events: dict[tuple[str, str], set[str]]
     _subtrees: dict[str, frozenset[str]] = field(default_factory=dict)
 
     def component_model(self, name: str) -> Optional[ComponentModel]:
         return self.dist.components.get(name)
-
-    def handlers_of(self, component: str) -> set[str]:
-        """Names of methods of ``component`` that run as event handlers."""
-        out = {
-            method for (cls, method) in self.handler_events if cls == component
-        }
-        info = self.index.classes.get(component)
-        if info is not None:
-            out.update(
-                name
-                for name, handler in info.handlers.items()
-                if handler.event_type is not None
-            )
-        return out
 
     def subtree(self, component: str) -> frozenset[str]:
         """``component`` plus every class reachable through ``create``."""
@@ -376,25 +333,12 @@ class ParModel:
         return out
 
 
-def build_par_model(
-    paths: Iterable[Path | str],
-    config: Optional[AnalysisConfig] = None,
-) -> tuple[ParModel, dict[str, ModuleInfo]]:
-    """Build the model; returns it plus the scanned modules (findings set).
-
-    Reuses the dist model (components, event verdicts, registrations) and
-    the flow graph (producer/consumer edges) — all through the shared
-    parse cache, so the combined ``all`` run still parses each file once.
-    Findings are only ever anchored in scanned files; the framework is
-    context, exactly as in the flow/dist/mem passes.
-    """
-    config = config or AnalysisConfig()
-    dist, scanned = build_dist_model(paths, config)
-    graph, _ = build_flow_graph(paths, config)
-    index = dist.index
-
+def build_par_model(program: Program) -> ParModel:
+    """Shared state, handles and containment over the program's index,
+    joined with its dist model and flow graph."""
+    index = program.index
     shared = {
-        path: build_shared_state(module) for path, module in scanned.items()
+        path: build_shared_state(module) for path, module in program.scanned.items()
     }
     handles: dict[str, HandleInfo] = {}
     creates: dict[str, set[str]] = {}
@@ -405,24 +349,4 @@ def build_par_model(
         created = _created_classes(info)
         if created:
             creates[name] = created
-
-    handler_events: dict[tuple[str, str], set[str]] = {}
-    for consumer in graph.consumers:
-        if consumer.component == "<module>":
-            continue
-        bucket = handler_events.setdefault(
-            (consumer.component, consumer.handler), set()
-        )
-        if consumer.event is not None:
-            bucket.add(consumer.event)
-    for name, info in index.classes.items():
-        for handler in info.handlers.values():
-            if handler.event_type is not None:
-                handler_events.setdefault((name, handler.name), set()).add(
-                    handler.event_type
-                )
-
-    return (
-        ParModel(index, dist, graph, shared, handles, creates, handler_events),
-        scanned,
-    )
+    return ParModel(index, program.dist, program.flow, shared, handles, creates)

@@ -5,7 +5,7 @@ One run object, one tool driver, the full rule catalogue in
 current invocation did not exercise), one result per finding.  File-based
 findings become ``physicalLocation`` records; wiring findings — anchored
 at a component/port path instead of a source line — become
-``logicalLocations``.  Every analysis CLI exposes this via ``--sarif FILE``
+``logicalLocations``.  Every analysis command exposes this via ``--sarif FILE``
 (``-`` for stdout), making the reports ingestible by GitHub code scanning.
 """
 

@@ -29,8 +29,8 @@ Two interchangeable engines implement these rules:
   the walk once per topology generation and replay it as a routing table.
 
 :func:`route` picks the engine from ``ComponentSystem.compiled_dispatch``
-(plans by default; ``REPRO_COMPILED_DISPATCH=0`` or
-``ComponentSystem(compiled_dispatch=False)`` selects the walker).
+(plans by default; ``ComponentSystem(compiled_dispatch=False)`` selects
+the walker).
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ exception to stderr and halts the system, exactly as the paper describes;
 from __future__ import annotations
 
 import itertools
-import os
 import random as random_module
 import sys
 import threading
@@ -45,7 +44,7 @@ class ComponentSystem:
         clock: Optional[Clock] = None,
         fault_policy: str = "halt",
         prune_channels: bool = True,
-        compiled_dispatch: Optional[bool] = None,
+        compiled_dispatch: bool = True,
         name: str = "kompics",
     ) -> None:
         if fault_policy not in FAULT_POLICIES:
@@ -60,11 +59,9 @@ class ComponentSystem:
         self.seed = seed
         self.fault_policy = fault_policy
         self.prune_channels = prune_channels
-        if compiled_dispatch is None:
-            compiled_dispatch = os.environ.get("REPRO_COMPILED_DISPATCH", "1") != "0"
         #: Route events through generation-invalidated compiled plans
         #: (:mod:`repro.core.routing`) instead of the recursive reference
-        #: walker.  ``REPRO_COMPILED_DISPATCH=0`` flips the default.
+        #: walker; False selects the walker, the differential oracle.
         self.compiled_dispatch = compiled_dispatch
         self.roots: list[ComponentCore] = []
         self.components: set[ComponentCore] = set()

@@ -19,7 +19,7 @@ Two run-loop engines share that contract (see ``docs/internals.md``,
   scheduler after each entry, so the executed trace is identical to the
   entry-at-a-time loop;
 - the *legacy* loop (one pop per dispatch) runs whenever exactness of pop
-  granularity matters: the ``REPRO_SIM_QUEUE=heap`` oracle engine, an
+  granularity matters: the ``queue_engine="heap"`` oracle engine, an
   installed ``picker`` (schedule exploration), or a ``max_dispatches``
   budget.
 """
@@ -53,14 +53,13 @@ class Simulation:
         seed: int = 0,
         fault_policy: str = "raise",
         prune_channels: bool = True,
-        compiled_dispatch: Optional[bool] = None,
+        compiled_dispatch: bool = True,
         name: str = "simulation",
-        queue_engine: Optional[str] = None,
+        queue_engine: str = "wheel",
     ) -> None:
         self.clock = VirtualClock()
         self.scheduler = ManualScheduler()
-        #: ``"wheel"`` (default) or ``"heap"`` (the reference oracle);
-        #: None reads ``REPRO_SIM_QUEUE``.
+        #: ``"wheel"`` (default) or ``"heap"`` (the reference oracle).
         self.queue = make_event_queue(queue_engine)
         self.queue_engine = "heap" if isinstance(self.queue, HeapEventQueue) else "wheel"
         # The deterministic runtime dispatches through the same compiled

@@ -15,7 +15,7 @@ Two engines implement the same contract:
   ``pop_batch`` hands the whole earliest bucket to the run loop in one
   operation;
 - :class:`HeapEventQueue`: the original binary-heap implementation, kept
-  verbatim as the determinism oracle (``REPRO_SIM_QUEUE=heap``) — the
+  verbatim as the determinism oracle (``queue_engine="heap"``) — the
   differential tests assert byte-identical ``Tracer.fingerprint()`` between
   the two.
 
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import os
 from typing import Callable, Optional, Sequence
 
 from .wheel import TimerWheel
@@ -278,7 +277,7 @@ class HeapEventQueue:
     """The original deterministic min-heap of timed actions.
 
     Kept verbatim as the reference oracle for the wheel engine
-    (``REPRO_SIM_QUEUE=heap``): cancelled entries tombstone until their
+    (``make_event_queue("heap")``): cancelled entries tombstone until their
     deadline, ``__len__`` scans, and pops pay Python-level comparisons.
     """
 
@@ -347,14 +346,9 @@ class HeapEventQueue:
         return self.peek_time() is not None
 
 
-def make_event_queue(engine: Optional[str] = None):
-    """Build the event queue for ``engine``.
-
-    ``engine`` is ``"wheel"`` (default), ``"heap"`` (the reference oracle)
-    or None, which reads ``REPRO_SIM_QUEUE`` from the environment.
-    """
-    if engine is None:
-        engine = os.environ.get("REPRO_SIM_QUEUE", "wheel") or "wheel"
+def make_event_queue(engine: str = "wheel"):
+    """Build the event queue for ``engine``: ``"wheel"`` (default) or
+    ``"heap"`` (the reference oracle)."""
     if engine == "wheel":
         return EventQueue()
     if engine == "heap":

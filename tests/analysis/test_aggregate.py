@@ -11,11 +11,13 @@ import pytest
 
 from repro.analysis.aggregate import (
     load_wiring_root,
-    main,
     merged_findings,
     run_all,
     verify_example_assemblies,
 )
+from repro.analysis.ast_lint import ProjectIndex
+from repro.analysis.cli import main
+from repro.analysis.flow.graph import FlowGraph
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -101,6 +103,27 @@ def test_run_all_reports_per_pass(tmp_path):
     assert rules["dist"] == {"D001"}
 
 
+def test_run_all_builds_index_and_flow_graph_once(tmp_path, monkeypatch):
+    """Structural check: every pass of one run reads one shared program
+    model, so the index and the flow graph are each built once."""
+    path = write(tmp_path, "mod.py", DIRTY_SOURCE)
+    builds = {"index": 0, "flow": 0}
+    index_init, flow_build = ProjectIndex.__init__, FlowGraph.build.__func__
+
+    def counting_init(self):
+        builds["index"] += 1
+        index_init(self)
+
+    def counting_build(cls, program):
+        builds["flow"] += 1
+        return flow_build(cls, program)
+
+    monkeypatch.setattr(ProjectIndex, "__init__", counting_init)
+    monkeypatch.setattr(FlowGraph, "build", classmethod(counting_build))
+    run_all([path])
+    assert builds == {"index": 1, "flow": 1}
+
+
 def test_merged_findings_sorted_by_location(tmp_path):
     path = write(tmp_path, "mod.py", DIRTY_SOURCE)
     merged = merged_findings(run_all([path]))
@@ -130,7 +153,7 @@ def test_cli_all_json_merges_passes(tmp_path, capsys):
     write(example_dir, "broken.py", BROKEN_EXAMPLE)
 
     code = main([
-        str(path), "--format", "json", "--wiring-examples", str(example_dir)
+        "all", str(path), "--format", "json", "--wiring-examples", str(example_dir)
     ])
     assert code == 1
     report = json.loads(capsys.readouterr().out)
@@ -146,22 +169,22 @@ def test_cli_all_json_merges_passes(tmp_path, capsys):
 
 def test_cli_all_exit_codes(tmp_path, capsys):
     clean = write(tmp_path, "clean.py", "x = 1\n")
-    assert main([str(clean)]) == 0
-    assert main([str(tmp_path / "nope.py")]) == 2
-    assert main([str(clean), "--wiring-examples", str(tmp_path / "nodir")]) == 2
+    assert main(["all", str(clean)]) == 0
+    assert main(["all", str(tmp_path / "nope.py")]) == 2
+    assert main(["all", str(clean), "--wiring-examples", str(tmp_path / "nodir")]) == 2
     capsys.readouterr()
 
 
 def test_cli_all_select_narrows(tmp_path, capsys):
     path = write(tmp_path, "mod.py", DIRTY_SOURCE)
-    assert main([str(path), "--select", "D", "--format", "json"]) == 1
+    assert main(["all", str(path), "--select", "D", "--format", "json"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert set(report["counts"]) == {"D001"}
 
 
 def test_whole_tree_aggregate_is_clean(capsys):
     code = main([
-        str(ROOT / "src"), str(ROOT / "examples"),
+        "all", str(ROOT / "src"), str(ROOT / "examples"),
         "--format", "json",
         "--wiring-examples", str(ROOT / "examples"),
     ])

@@ -3,9 +3,22 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import textwrap
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Optional
+
+import pytest
 
 from repro.analysis.cli import main
+from repro.analysis.passes import PASSES
+
+from . import test_aggregate, test_dist, test_mem, test_par
+
+REPO = Path(__file__).resolve().parents[2]
 
 BAD_MODULE = textwrap.dedent(
     """\
@@ -134,19 +147,148 @@ def test_list_rules(capsys):
 
 def test_module_invocation_on_own_source_tree():
     """The repository gates CI on this exact invocation staying clean."""
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    repo = Path(__file__).resolve().parents[2]
-    env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     result = subprocess.run(
         [sys.executable, "-m", "repro.analysis", "src/repro", "examples"],
-        cwd=repo,
+        cwd=REPO,
         env=env,
         capture_output=True,
         text=True,
         timeout=300,
     )
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_lint_path_does_not_import_the_simulation():
+    """The lint CLI (registry and every static pass included) stays free
+    of the simulation stack; only ``race`` pulls it in."""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    probe = (
+        "import sys\n"
+        "from repro.analysis.cli import main\n"
+        "assert main(['examples']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('repro.simulation')))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=REPO,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+# ------------------------------------------- every registered pass's CLI
+
+
+@dataclass(frozen=True)
+class Case:
+    """One CLI run over a fixture; ``{sarif}``/``{config}`` in ``args``
+    stand for files the test writes."""
+
+    fixture: str
+    args: tuple[str, ...] = ()
+    code: int = 1
+    #: rule ids expected in report order (JSON report, or SARIF results)
+    rules: Optional[list[str]] = None
+    #: run under ``all`` and read this pass's section of the report
+    under_all: bool = False
+    #: body of the ``[tool.repro.analysis]`` table passed via ``--config``
+    pyproject: Optional[str] = None
+
+
+JSON = ("--format", "json")
+SARIF = ("--sarif", "{sarif}")
+
+CLI_CASES: dict[str, list[Case]] = {
+    "lint": [
+        Case(BAD_MODULE, JSON, rules=["A002", "A001"]),
+        Case(BAD_MODULE, SARIF, rules=["A002", "A001"]),
+    ],
+    "flow": [
+        Case(test_aggregate.DIRTY_SOURCE, JSON, rules=["F002", "F003"]),
+        Case(test_aggregate.DIRTY_SOURCE, ("--ignore", "F003")),
+        Case(test_aggregate.DIRTY_SOURCE, ("--select", "A"), code=0),
+    ],
+    "dist": [
+        Case(test_dist.D001_FIXTURE, JSON, rules=["D001"] * 3),
+        Case(test_dist.D001_FIXTURE, ("--ignore", "D001"), code=0),
+        Case(test_dist.D001_FIXTURE, ("--select", "D001")),
+        Case(test_dist.D001_FIXTURE, SARIF, rules=["D001"] * 3),
+    ],
+    "mem": [
+        # M001 x2 plus the M005 on GrowsDynamically.stamp
+        Case(test_mem.M001_FIXTURE, JSON, rules=["M001", "M001", "M005"]),
+        Case(test_mem.M001_FIXTURE, ("--ignore", "M001,M005"), code=0),
+        Case(test_mem.M001_FIXTURE, ("--select", "M001")),
+        Case(test_mem.M001_FIXTURE, ("--select", "M006"), code=0),
+        Case(test_mem.M001_FIXTURE, SARIF, rules=["M001", "M001", "M005"]),
+        Case(test_mem.M001_FIXTURE, JSON, rules=["M001", "M001", "M005"], under_all=True),
+    ],
+    "par": [
+        Case(test_par.P001_FIXTURE, JSON, rules=["P001"] * 3),
+        Case(test_par.P005_FIXTURE, ("--ignore", "P005"), code=0),
+        Case(test_par.P005_FIXTURE, ("--select", "P005")),
+        Case(test_par.P005_FIXTURE, ("--select", "P003"), code=0),
+        Case(test_par.P004_FIXTURE, SARIF, rules=["P004", "P004"]),
+        Case(
+            test_par.P005_FIXTURE, ("--config", "{config}"), code=0,
+            pyproject='ignore = ["P005"]',
+        ),
+        Case(test_par.P006_FIXTURE, JSON, rules=["P006"], under_all=True),
+    ],
+}
+
+
+def test_every_registered_pass_has_cli_cases():
+    assert set(CLI_CASES) == set(PASSES)
+
+
+@pytest.mark.parametrize("name", list(PASSES))
+def test_cli_surface(name, tmp_path, capsys):
+    """Exit codes 0/1/2, --select/--ignore, --sarif, --format json and
+    --config, for each pass alone and for its section of ``all``."""
+    clean = tmp_path / "clean.py"
+    clean.write_text("x = 1\n")
+    assert main([name, str(clean)]) == 0
+    assert main([name, str(tmp_path / "missing.py")]) == 2
+    path = tmp_path / "mod.py"
+    sarif = tmp_path / "out.sarif"
+    # Outside the fixture's parent chain, so only --config finds it.
+    config = tmp_path / "conf" / "pyproject.toml"
+    config.parent.mkdir()
+    for case in CLI_CASES[name]:
+        path.write_text(textwrap.dedent(case.fixture))
+        if case.pyproject is not None:
+            config.write_text(f"[tool.repro.analysis]\n{case.pyproject}\n")
+        args = [a.format(sarif=sarif, config=config) for a in case.args]
+        argv = ["all" if case.under_all else name, str(path), *args]
+        capsys.readouterr()
+        assert main(argv) == case.code, argv
+        out = capsys.readouterr().out
+        if case.rules is None:
+            continue
+        if "--sarif" in case.args:
+            log = json.loads(sarif.read_text())
+            assert log["version"] == "2.1.0"
+            got = [r["ruleId"] for r in log["runs"][0]["results"]]
+        else:
+            report = json.loads(out)
+            if case.under_all:
+                report = report["passes"][name]
+            assert report["total"] == len(case.rules)
+            got = [f["rule"] for f in report["findings"]]
+        assert got == case.rules, argv
+
+
+@pytest.mark.parametrize("command", [(), ("dist",), ("all",)], ids=["lint", "dist", "all"])
+@pytest.mark.parametrize("flag", ["--select", "--ignore"])
+def test_unknown_rule_pattern_is_a_usage_error(command, flag, tmp_path, capsys):
+    """A mistyped rule on the command line fails like one in pyproject."""
+    (tmp_path / "bad.py").write_text(BAD_MODULE)
+    assert main([*command, str(tmp_path), flag, "A001,A0002"]) == 2
+    assert "unknown rule or prefix 'A0002'" in capsys.readouterr().err
+    assert main([*command, str(tmp_path), flag, "Q"]) == 2

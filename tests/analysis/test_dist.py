@@ -1,10 +1,10 @@
 """Distribution-readiness analysis (D001-D006): per-rule fixtures with
 exact file/line assertions, classify_events verdicts, noqa suppression,
-CLI behaviour, determinism, and the whole-tree cleanliness gate."""
+determinism, and the whole-tree cleanliness gate.  The command line is covered for every
+pass in ``test_cli.py``."""
 
 from __future__ import annotations
 
-import json
 import textwrap
 from functools import lru_cache
 from pathlib import Path
@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import AnalysisConfig
-from repro.analysis.cli import main
 from repro.analysis.dist import analyze_paths, classify_events
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -378,41 +377,7 @@ def test_tree_verdicts_cover_wire_messages():
     assert not verdicts["Fault"].wire_safe
 
 
-# ----------------------------------------------------------- CLI surface
-
-
-def test_cli_exit_codes_and_json(tmp_path, capsys):
-    path = tmp_path / "mod.py"
-    path.write_text(textwrap.dedent(D001_FIXTURE))
-    assert main(["dist", str(path), "--format", "json"]) == 1
-    report = json.loads(capsys.readouterr().out)
-    assert report["total"] == 3
-    assert report["counts"] == {"D001": 3}
-    assert all(f["rule"] == "D001" for f in report["findings"])
-
-    clean = tmp_path / "clean.py"
-    clean.write_text("x = 1\n")
-    assert main(["dist", str(clean)]) == 0
-    assert main(["dist", str(tmp_path / "missing.py")]) == 2
-
-
-def test_cli_select_ignore(tmp_path, capsys):
-    path = tmp_path / "mod.py"
-    path.write_text(textwrap.dedent(D001_FIXTURE))
-    assert main(["dist", str(path), "--ignore", "D001"]) == 0
-    assert main(["dist", str(path), "--select", "D001"]) == 1
-    capsys.readouterr()
-
-
-def test_cli_sarif_output(tmp_path, capsys):
-    path = tmp_path / "mod.py"
-    path.write_text(textwrap.dedent(D001_FIXTURE))
-    sarif_path = tmp_path / "out.sarif"
-    assert main(["dist", str(path), "--sarif", str(sarif_path)]) == 1
-    capsys.readouterr()
-    log = json.loads(sarif_path.read_text())
-    assert log["version"] == "2.1.0"
-    assert [r["ruleId"] for r in log["runs"][0]["results"]] == ["D001"] * 3
+# ------------------------------------------------------------ determinism
 
 
 def test_output_is_deterministic(tmp_path):

@@ -1,10 +1,10 @@
 """Memory-footprint analysis (M001-M006): per-rule fixtures with exact
-file/line assertions, noqa suppression, CLI behaviour, determinism, and
-the whole-tree cleanliness gate."""
+file/line assertions, noqa suppression, determinism, and
+the whole-tree cleanliness gate.  The command line is covered for every
+pass in ``test_cli.py``."""
 
 from __future__ import annotations
 
-import json
 import textwrap
 from functools import lru_cache
 from pathlib import Path
@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import AnalysisConfig
-from repro.analysis.cli import main
 from repro.analysis.mem import analyze_paths
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -333,51 +332,7 @@ def test_subtree_is_mem_clean(subtree):
     assert findings == [], "\n".join(f.format() for f in findings)
 
 
-# ----------------------------------------------------------- CLI surface
-
-
-def test_cli_exit_codes_and_json(tmp_path, capsys):
-    path = tmp_path / "mod.py"
-    path.write_text(textwrap.dedent(M001_FIXTURE))
-    assert main(["mem", str(path), "--format", "json"]) == 1
-    report = json.loads(capsys.readouterr().out)
-    # M001 x2 plus the M005 on GrowsDynamically.stamp
-    assert report["total"] == 3
-    assert report["counts"] == {"M001": 2, "M005": 1}
-
-    clean = tmp_path / "clean.py"
-    clean.write_text("x = 1\n")
-    assert main(["mem", str(clean)]) == 0
-    assert main(["mem", str(tmp_path / "missing.py")]) == 2
-
-
-def test_cli_select_ignore(tmp_path, capsys):
-    path = tmp_path / "mod.py"
-    path.write_text(textwrap.dedent(M001_FIXTURE))
-    assert main(["mem", str(path), "--ignore", "M001,M005"]) == 0
-    assert main(["mem", str(path), "--select", "M001"]) == 1
-    assert main(["mem", str(path), "--select", "M006"]) == 0
-    capsys.readouterr()
-
-
-def test_cli_sarif_output(tmp_path, capsys):
-    path = tmp_path / "mod.py"
-    path.write_text(textwrap.dedent(M001_FIXTURE))
-    sarif_path = tmp_path / "out.sarif"
-    assert main(["mem", str(path), "--sarif", str(sarif_path)]) == 1
-    capsys.readouterr()
-    log = json.loads(sarif_path.read_text())
-    assert log["version"] == "2.1.0"
-    assert [r["ruleId"] for r in log["runs"][0]["results"]] == ["M001", "M001", "M005"]
-
-
-def test_mem_runs_under_all(tmp_path, capsys):
-    path = tmp_path / "mod.py"
-    path.write_text(textwrap.dedent(M001_FIXTURE))
-    assert main(["all", str(path), "--format", "json"]) == 1
-    report = json.loads(capsys.readouterr().out)
-    assert report["passes"]["mem"]["total"] == 3
-    assert {f["rule"] for f in report["passes"]["mem"]["findings"]} == {"M001", "M005"}
+# ------------------------------------------------------------ determinism
 
 
 def test_output_is_deterministic(tmp_path):

@@ -1,10 +1,10 @@
 """Shard-safety analysis (P001-P006): per-rule fixtures with exact
-file/line assertions, noqa suppression, CLI behaviour, config loading,
-determinism, and the whole-tree cleanliness gate."""
+file/line assertions, noqa suppression, config loading,
+determinism, and the whole-tree cleanliness gate.  The command line is covered for every
+pass in ``test_cli.py``."""
 
 from __future__ import annotations
 
-import json
 import textwrap
 from functools import lru_cache
 from pathlib import Path
@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import AnalysisConfig
-from repro.analysis.cli import main
 from repro.analysis.par import analyze_paths
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -453,59 +452,7 @@ def test_subtree_is_par_clean(subtree):
     assert findings == [], "\n".join(f.format() for f in findings)
 
 
-# ----------------------------------------------------------- CLI surface
-
-
-def test_cli_exit_codes_and_json(tmp_path, capsys):
-    path = tmp_path / "mod.py"
-    path.write_text(textwrap.dedent(P001_FIXTURE))
-    assert main(["par", str(path), "--format", "json"]) == 1
-    report = json.loads(capsys.readouterr().out)
-    assert report["total"] == 3
-    assert report["counts"] == {"P001": 3}
-
-    clean = tmp_path / "clean.py"
-    clean.write_text("x = 1\n")
-    assert main(["par", str(clean)]) == 0
-    assert main(["par", str(tmp_path / "missing.py")]) == 2
-
-
-def test_cli_select_ignore(tmp_path, capsys):
-    path = tmp_path / "mod.py"
-    path.write_text(textwrap.dedent(P005_FIXTURE))
-    assert main(["par", str(path), "--ignore", "P005"]) == 0
-    assert main(["par", str(path), "--select", "P005"]) == 1
-    assert main(["par", str(path), "--select", "P003"]) == 0
-    capsys.readouterr()
-
-
-def test_cli_sarif_output(tmp_path, capsys):
-    path = tmp_path / "mod.py"
-    path.write_text(textwrap.dedent(P004_FIXTURE))
-    sarif_path = tmp_path / "out.sarif"
-    assert main(["par", str(path), "--sarif", str(sarif_path)]) == 1
-    capsys.readouterr()
-    log = json.loads(sarif_path.read_text())
-    assert log["version"] == "2.1.0"
-    assert [r["ruleId"] for r in log["runs"][0]["results"]] == ["P004", "P004"]
-
-
-def test_cli_pyproject_config(tmp_path, capsys):
-    path = tmp_path / "mod.py"
-    path.write_text(textwrap.dedent(P005_FIXTURE))
-    pyproject = tmp_path / "pyproject.toml"
-    pyproject.write_text('[tool.repro.analysis]\nignore = ["P005"]\n')
-    assert main(["par", str(path), "--config", str(pyproject)]) == 0
-    capsys.readouterr()
-
-
-def test_par_runs_under_all(tmp_path, capsys):
-    path = tmp_path / "mod.py"
-    path.write_text(textwrap.dedent(P006_FIXTURE))
-    assert main(["all", str(path), "--format", "json"]) == 1
-    report = json.loads(capsys.readouterr().out)
-    assert report["passes"]["par"]["total"] == 1
-    assert {f["rule"] for f in report["passes"]["par"]["findings"]} == {"P006"}
+# ------------------------------------------------------------ determinism
 
 
 def test_output_is_deterministic(tmp_path):

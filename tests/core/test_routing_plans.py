@@ -336,11 +336,8 @@ def test_simulation_runs_on_compiled_plans():
     assert list(routing.cached_plans(client_face))  # plans were compiled
 
 
-def test_compiled_dispatch_env_kill_switch(monkeypatch):
-    monkeypatch.setenv("REPRO_COMPILED_DISPATCH", "0")
-    assert not ComponentSystem(fault_policy="record").compiled_dispatch
-    monkeypatch.setenv("REPRO_COMPILED_DISPATCH", "1")
-    assert ComponentSystem(fault_policy="record").compiled_dispatch
+def test_compiled_dispatch_constructor_switch():
+    assert ComponentSystem(fault_policy="record").compiled_dispatch is True
     assert ComponentSystem(fault_policy="record", compiled_dispatch=False).compiled_dispatch is False
 
 

@@ -22,13 +22,10 @@ def nop() -> None:
 # --------------------------------------------------------------- construction
 
 
-def test_make_event_queue_engines(monkeypatch):
+def test_make_event_queue_engines():
+    assert isinstance(make_event_queue(), EventQueue)
     assert isinstance(make_event_queue("wheel"), EventQueue)
     assert isinstance(make_event_queue("heap"), HeapEventQueue)
-    monkeypatch.setenv("REPRO_SIM_QUEUE", "heap")
-    assert isinstance(make_event_queue(), HeapEventQueue)
-    monkeypatch.setenv("REPRO_SIM_QUEUE", "")
-    assert isinstance(make_event_queue(), EventQueue)
     with pytest.raises(ValueError):
         make_event_queue("splay")
 
